@@ -17,6 +17,7 @@ from .bounded_algorithm import bounded_dual, bounded_schedule
 from .certificates import Certificate, extract_certificate, replay_certificate, verify_certificate
 from .heuristics import lpt_moldable, max_parallelism_baseline, sequential_baseline
 from .bounds import (
+    BracketError,
     EstimatorResult,
     ludwig_tiwari_estimator,
     makespan_lower_bound,
@@ -118,6 +119,7 @@ __all__ = [
     # bounds & baselines
     "trivial_lower_bound",
     "serial_upper_bound",
+    "BracketError",
     "EstimatorResult",
     "ludwig_tiwari_estimator",
     "makespan_lower_bound",

@@ -26,6 +26,7 @@ from .allotment import Allotment, canonical_allotment
 from .job import MoldableJob, max_sequential_time, total_minimal_work
 
 __all__ = [
+    "BracketError",
     "trivial_lower_bound",
     "serial_upper_bound",
     "EstimatorResult",
@@ -35,20 +36,37 @@ __all__ = [
 ]
 
 
-def trivial_lower_bound(jobs: Sequence[MoldableJob], m: int, *, oracle=None) -> float:
+class BracketError(RuntimeError):
+    """A bisection bracket end that must be feasible is not.
+
+    Raised when the Ludwig–Tiwari estimator finds no feasible canonical
+    allotment at an end of its bracket, and when a dual search's dual
+    algorithm rejects every target makespan.  Either means the jobs break
+    the model (a non-monotone job) or an oracle disagrees with its jobs.
+    """
+
+
+def require_feasible(allot: Optional[Allotment], tau: float, m: int) -> Allotment:
+    """``allot``, the canonical allotment at a bracket end ``tau`` the
+    estimator has shown to be feasible; :class:`BracketError` if it is not."""
+    if allot is None:
+        raise BracketError(
+            f"no feasible canonical allotment at the estimator's bracket end "
+            f"tau={tau!r} on m={m} machines"
+        )
+    return allot
+
+
+def trivial_lower_bound(jobs: Sequence[MoldableJob], m: int) -> float:
     """``max( max_j t_j(m), sum_j t_j(1) / m )``.
 
     Valid for monotone jobs: every job needs at least ``t_j(m)`` time, and the
     total work of any schedule is at least ``sum_j w_j(1)`` because the work is
-    minimised on one processor.
-
-    ``oracle`` optionally answers both aggregates from the batched ``t_j(1)``
-    / ``t_j(m)`` arrays (bit-identical result, no per-job Python calls).
+    minimised on one processor.  (The estimator computes the same value from
+    its batched ``t_j(1)`` / ``t_j(m)`` arrays: see ``EstimatorResult.trivial``.)
     """
     if not jobs:
         return 0.0
-    if oracle is not None:
-        return max(float(oracle.tm.max()), oracle.sequential_sum(oracle.t1) / m)
     return max(max_sequential_time(jobs, m), total_minimal_work(jobs) / m)
 
 
@@ -64,11 +82,15 @@ class EstimatorResult:
 
     ``omega <= OPT <= ratio * omega`` and ``allotment`` witnesses the upper
     bound (list scheduling it yields makespan at most ``ratio * omega``).
+    ``trivial`` is :func:`trivial_lower_bound` of the same instance, read off
+    the ``t_j(1)`` / ``t_j(m)`` values the estimator bracketed with (``None``
+    when unknown); :func:`makespan_lower_bound` certifies from both fields.
     """
 
     omega: float
     allotment: Allotment
     ratio: float = 2.0
+    trivial: Optional[float] = None
 
     @property
     def upper_bound(self) -> float:
@@ -128,16 +150,18 @@ def ludwig_tiwari_estimator(
     """
     if not jobs:
         empty = Allotment({})
-        return EstimatorResult(omega=0.0, allotment=empty)
+        return EstimatorResult(omega=0.0, allotment=empty, trivial=0.0)
     if m < 1:
         raise ValueError("m must be >= 1")
 
     if oracle is not None:
-        lo = max(float(oracle.tm.max()), 1e-300)
-        hi = max(oracle.sequential_sum(oracle.t1), lo)
+        t_max, t1_sum = float(oracle.tm.max()), oracle.sequential_sum(oracle.t1)
     else:
-        lo = max(max_sequential_time(jobs, m), 1e-300)
-        hi = max(serial_upper_bound(jobs), lo)
+        t_max, t1_sum = max_sequential_time(jobs, m), serial_upper_bound(jobs)
+    # trivial_lower_bound(jobs, m) from the values already at hand
+    trivial = max(t_max, t1_sum / m)
+    lo = max(t_max, 1e-300)
+    hi = max(t1_sum, lo)
 
     # g(hi) is finite (every job fits on one machine within the serial bound).
     # Invariant we move towards: phi(hi) <= hi  and  (phi(lo) > lo or lo is the
@@ -145,10 +169,8 @@ def ludwig_tiwari_estimator(
     phi_lo = _phi(jobs, m, lo, oracle)
     if phi_lo is not None and phi_lo <= lo:
         # the crossover is at or below the floor; the floor itself is optimal
-        allot = _canonical_allotment(jobs, lo, m, oracle)
-        assert allot is not None
-        omega = max(phi_lo, lo)
-        return EstimatorResult(omega=omega, allotment=allot)
+        allot = require_feasible(_canonical_allotment(jobs, lo, m, oracle), lo, m)
+        return EstimatorResult(omega=max(phi_lo, lo), allotment=allot, trivial=trivial)
 
     for _ in range(max_iter):
         if hi <= lo * (1.0 + tol):
@@ -160,8 +182,7 @@ def ludwig_tiwari_estimator(
         else:
             hi = mid
 
-    allot = _canonical_allotment(jobs, hi, m, oracle)
-    assert allot is not None, "upper end of the bracket must always be feasible"
+    allot = require_feasible(_canonical_allotment(jobs, hi, m, oracle), hi, m)
     if oracle is not None:
         # batched twins of average_load / max_time (left-to-right work sum and
         # an order-independent max — bit-identical to the scalar loops)
@@ -174,20 +195,33 @@ def ludwig_tiwari_estimator(
         omega = max(allot.average_load(m), allot.max_time())
     # omega as computed is an achievable value of g, hence >= min g >= ... but
     # we also need a certified lower bound; combine with the trivial bound.
-    lower = max(trivial_lower_bound(jobs, m, oracle=oracle), lo)
-    omega = max(omega / (1.0 + tol), lower)
+    omega = max(omega / (1.0 + tol), trivial, lo)
     # The bisection slack means the witnessing allotment only guarantees a
     # schedule of length 2 * omega * (1 + 2 tol); record that honestly.
-    return EstimatorResult(omega=omega, allotment=allot, ratio=2.0 * (1.0 + 2.0 * tol))
+    return EstimatorResult(
+        omega=omega, allotment=allot, ratio=2.0 * (1.0 + 2.0 * tol), trivial=trivial
+    )
 
 
-def makespan_lower_bound(jobs: Sequence[MoldableJob], m: int) -> float:
+def makespan_lower_bound(
+    jobs: Sequence[MoldableJob], m: int, *, estimate: Optional[EstimatorResult] = None
+) -> float:
     """Best certified lower bound available: the maximum of the trivial bound
-    and the Ludwig–Tiwari ``omega``."""
+    and the Ludwig–Tiwari ``omega``.
+
+    ``estimate`` is an :func:`ludwig_tiwari_estimator` result for exactly
+    ``(jobs, m)`` that a driver already computed; it is certified as is
+    instead of estimating again.  γ-values are exact on every backend, so
+    the result is bit-identical to the fresh scalar estimate.
+    """
     if not jobs:
         return 0.0
-    est = ludwig_tiwari_estimator(jobs, m)
-    return max(trivial_lower_bound(jobs, m), est.omega)
+    if estimate is None:
+        estimate = ludwig_tiwari_estimator(jobs, m)
+    trivial = estimate.trivial
+    if trivial is None:
+        trivial = trivial_lower_bound(jobs, m)
+    return max(trivial, estimate.omega)
 
 
 def release_aware_lower_bound(

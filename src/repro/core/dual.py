@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .bounds import ludwig_tiwari_estimator, trivial_lower_bound
+from .bounds import BracketError, EstimatorResult, ludwig_tiwari_estimator, makespan_lower_bound
 from .job import MoldableJob
 from .schedule import Schedule
 
@@ -31,7 +31,15 @@ DualFunction = Callable[[float], Optional[Schedule]]
 
 @dataclass
 class DualSearchResult:
-    """Outcome of :func:`dual_binary_search`."""
+    """Outcome of :func:`dual_binary_search`.
+
+    ``lower_bound`` is where the bisection's lower end finished: the largest
+    target the dual algorithm rejected, or the initial lower end.
+    ``estimate`` is the Ludwig–Tiwari result the initial bracket came from
+    (``None`` when the caller supplied the bracket); it certifies the
+    instance through :func:`~repro.core.bounds.makespan_lower_bound`
+    without estimating again.
+    """
 
     schedule: Schedule
     accepted_d: float
@@ -41,6 +49,7 @@ class DualSearchResult:
     #: total γ-probes spent by the batched oracle across the search (the
     #: estimator bracket plus every dual step); ``None`` on the scalar path.
     gamma_probes: Optional[int] = None
+    estimate: Optional[EstimatorResult] = None
 
     @property
     def makespan(self) -> float:
@@ -85,9 +94,10 @@ def dual_binary_search(
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
 
+    estimate = None
     if lower is None or upper is None:
         estimate = ludwig_tiwari_estimator(jobs, m, oracle=oracle)
-        est_lower = max(estimate.omega, trivial_lower_bound(jobs, m, oracle=oracle))
+        est_lower = makespan_lower_bound(jobs, m, estimate=estimate)
         est_upper = estimate.upper_bound
         lower = lower if lower is not None else est_lower
         upper = upper if upper is not None else max(est_upper, lower * (1 + tolerance))
@@ -95,9 +105,6 @@ def dual_binary_search(
     upper = max(upper, lower)
 
     dual_calls = 0
-    best: Optional[Schedule] = None
-    best_d = upper
-
     # Make sure the upper end of the bracket is accepted; widen defensively if
     # the estimator slack made it marginally too small.
     schedule = dual_fn(upper)
@@ -109,7 +116,7 @@ def dual_binary_search(
         dual_calls += 1
         widen += 1
     if schedule is None:
-        raise RuntimeError("dual algorithm rejected every target makespan; cannot bracket the optimum")
+        raise BracketError("dual algorithm rejected every target makespan; cannot bracket the optimum")
     best = schedule
     best_d = upper
 
@@ -126,7 +133,6 @@ def dual_binary_search(
         else:
             lower = mid
 
-    assert best is not None
     if callable(best):
         best = best()
     return DualSearchResult(
@@ -136,4 +142,5 @@ def dual_binary_search(
         iterations=iterations,
         dual_calls=dual_calls,
         gamma_probes=oracle.gamma_probes if oracle is not None else None,
+        estimate=estimate,
     )

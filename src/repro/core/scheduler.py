@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .bounded_algorithm import bounded_schedule
-from .bounds import makespan_lower_bound
+from .bounds import EstimatorResult, makespan_lower_bound
 from .compressible_algorithm import compressible_schedule
 from .exact_small import exact_schedule, exact_solver_applicable
 from .fptas import fptas_machine_threshold, fptas_schedule, ptas_schedule
@@ -38,13 +38,19 @@ ALGORITHMS = (
 
 @dataclass
 class SchedulingResult:
-    """Schedule plus certification data."""
+    """Schedule plus certification data.
+
+    ``lower_bound`` is ``makespan_lower_bound(jobs, m)``, certified from
+    ``estimate``: the Ludwig–Tiwari result the driver computed for its own
+    bracket (``None`` for ``"exact"``).
+    """
 
     schedule: Schedule
     algorithm: str
     eps: float
     lower_bound: float
     guarantee: Optional[float]
+    estimate: Optional[EstimatorResult] = None
 
     @property
     def makespan(self) -> float:
@@ -136,32 +142,29 @@ def schedule_moldable(
         res = two_approximation(
             jobs, m, validate=validate, backend=backend, oracle=oracle, list_backend=list_backend
         )
-        schedule = res.schedule
         guarantee: Optional[float] = 2.0
     elif chosen == "mrt":
-        schedule = mrt_schedule(jobs, m, eps, validate=validate, backend=backend).schedule
+        res = mrt_schedule(jobs, m, eps, validate=validate, backend=backend)
         guarantee = 1.5 + eps
     elif chosen == "compressible":
-        schedule = compressible_schedule(jobs, m, eps, validate=validate, backend=backend).schedule
+        res = compressible_schedule(jobs, m, eps, validate=validate, backend=backend)
         guarantee = 1.5 + eps
     elif chosen == "bounded":
-        schedule = bounded_schedule(jobs, m, eps, transform="heap", validate=validate, backend=backend).schedule
+        res = bounded_schedule(jobs, m, eps, transform="heap", validate=validate, backend=backend)
         guarantee = 1.5 + eps
     elif chosen == "bounded_linear":
-        schedule = bounded_schedule(jobs, m, eps, transform="bucket", validate=validate, backend=backend).schedule
+        res = bounded_schedule(jobs, m, eps, transform="bucket", validate=validate, backend=backend)
         guarantee = 1.5 + eps
     elif chosen == "fptas":
-        schedule = fptas_schedule(
-            jobs, m, eps, validate=validate, backend=backend, oracle=oracle
-        ).schedule
+        res = fptas_schedule(jobs, m, eps, validate=validate, backend=backend, oracle=oracle)
         guarantee = 1.0 + eps
     elif chosen == "ptas":
-        result = ptas_schedule(jobs, m, eps, validate=validate, backend=backend)
-        schedule = result.schedule
-        guarantee = schedule.metadata.get("guarantee")
+        res = ptas_schedule(jobs, m, eps, validate=validate, backend=backend)
+        guarantee = res.schedule.metadata.get("guarantee")
     elif chosen == "exact":
         if not exact_solver_applicable(len(jobs), m):
             raise ValueError("the exact algorithm only handles tiny instances (n <= 7, m <= 8)")
+        res = None
         schedule = exact_schedule(jobs, m)
         guarantee = 1.0
         if validate:
@@ -169,6 +172,18 @@ def schedule_moldable(
     else:  # pragma: no cover - exhaustiveness guard
         raise AssertionError(chosen)
 
-    lower = makespan_lower_bound(jobs, m)
+    # certify from the estimate the driver already computed; the estimator
+    # runs here only for "exact" and for a ptas that solved exactly
+    estimate = None
+    if res is not None:
+        schedule, estimate = res.schedule, res.estimate
+    lower = makespan_lower_bound(jobs, m, estimate=estimate)
     schedule.metadata.setdefault("algorithm", chosen)
-    return SchedulingResult(schedule=schedule, algorithm=chosen, eps=eps, lower_bound=lower, guarantee=guarantee)
+    return SchedulingResult(
+        schedule=schedule,
+        algorithm=chosen,
+        eps=eps,
+        lower_bound=lower,
+        guarantee=guarantee,
+        estimate=estimate,
+    )

@@ -54,7 +54,7 @@ def run(
             return
         instance = random_amdahl_instance(n, m, seed=seed + n)
         seconds, result = timed(lambda: fptas_schedule(instance.jobs, m, eps))
-        lower = makespan_lower_bound(instance.jobs, m)
+        lower = makespan_lower_bound(instance.jobs, m, estimate=result.estimate)
         makespan = result.schedule.makespan
         ratio = makespan / lower if lower > 0 else 1.0
         rows.append(

@@ -324,9 +324,9 @@ class OnlineScheduler:
                         f"its release {release_of[id(entry.job)]}"
                     )
 
-        lower = release_aware_lower_bound(
-            jobs, releases, self.m, base=makespan_lower_bound(jobs, self.m)
-        )
+        # the clairvoyant solve already estimated exactly (jobs, m)
+        base = makespan_lower_bound(jobs, self.m, estimate=offline.estimate)
+        lower = release_aware_lower_bound(jobs, releases, self.m, base=base)
         report = RegretReport(
             online_makespan=stitched.makespan,
             offline_makespan=offline.schedule.makespan,

@@ -52,7 +52,7 @@ import numpy as np
 
 from ..core.allotment import Allotment
 from ..core.backend import MAX_VECTORIZED_M
-from ..core.bounds import EstimatorResult
+from ..core.bounds import BracketError, EstimatorResult, makespan_lower_bound, require_feasible
 from ..core.dual import DualSearchResult
 from ..core.fptas import fptas_machine_threshold
 from ..core.job import MoldableJob
@@ -202,13 +202,6 @@ class MegaOracle:
 # ---------------------------------------------------------------------------
 
 
-def _trivial(seg: _Segment) -> float:
-    """``trivial_lower_bound`` on the batched path (no oracle requests: t1/tm
-    are cached on first access)."""
-    oracle = seg.oracle
-    return max(float(oracle.tm.max()), oracle.sequential_sum(oracle.t1) / seg.m)
-
-
 def _gen_phi(seg: _Segment, tau: float):
     """``_phi`` (bounds.py): average canonical load at ``tau`` or ``None``."""
     gammas = yield ("gamma", tau)
@@ -232,14 +225,16 @@ def _gen_estimator(seg: _Segment):
     tol = 1e-6
     m = seg.m
     oracle = seg.oracle
-    lo = max(float(oracle.tm.max()), 1e-300)
-    hi = max(oracle.sequential_sum(oracle.t1), lo)
+    # t1/tm are cached on first access: no oracle requests
+    t_max, t1_sum = float(oracle.tm.max()), oracle.sequential_sum(oracle.t1)
+    trivial = max(t_max, t1_sum / m)
+    lo = max(t_max, 1e-300)
+    hi = max(t1_sum, lo)
 
     phi_lo = yield from _gen_phi(seg, lo)
     if phi_lo is not None and phi_lo <= lo:
-        allot = yield from _gen_allot(seg, lo)
-        assert allot is not None
-        return EstimatorResult(omega=max(phi_lo, lo), allotment=allot)
+        allot = require_feasible((yield from _gen_allot(seg, lo)), lo, m)
+        return EstimatorResult(omega=max(phi_lo, lo), allotment=allot, trivial=trivial)
 
     for _ in range(128):
         if hi <= lo * (1.0 + tol):
@@ -251,17 +246,17 @@ def _gen_estimator(seg: _Segment):
         else:
             hi = mid
 
-    allot = yield from _gen_allot(seg, hi)
-    assert allot is not None, "upper end of the bracket must always be feasible"
+    allot = require_feasible((yield from _gen_allot(seg, hi)), hi, m)
     # solo reads gamma_array(hi) again (a threshold-cache hit) and evaluates
     # works_at + times_at; the same times array serves both here.
     gammas = yield ("gamma", hi)
     ks = np.broadcast_to(np.asarray(gammas, dtype=np.float64), (seg.n,))
     times = yield ("eval", ks)
     omega = max(BatchedOracle.sequential_sum(ks * times) / m, float(times.max()))
-    lower = max(_trivial(seg), lo)
-    omega = max(omega / (1.0 + tol), lower)
-    return EstimatorResult(omega=omega, allotment=allot, ratio=2.0 * (1.0 + 2.0 * tol))
+    omega = max(omega / (1.0 + tol), trivial, lo)
+    return EstimatorResult(
+        omega=omega, allotment=allot, ratio=2.0 * (1.0 + 2.0 * tol), trivial=trivial
+    )
 
 
 def _gen_two_approx(seg: _Segment):
@@ -323,12 +318,10 @@ def _gen_fptas_dual(seg: _Segment, d: float, inner: float):
 
 
 def _gen_dual_search(seg: _Segment, inner: float):
-    """``dual_binary_search`` with the FPTAS dual step; returns
-    ``(DualSearchResult, EstimatorResult)`` so the caller reuses the bracket
-    estimate for the certified lower bound."""
+    """``dual_binary_search`` with the FPTAS dual step."""
     tolerance = inner
     estimate = yield from _gen_estimator(seg)
-    lower = max(estimate.omega, _trivial(seg))
+    lower = makespan_lower_bound(seg.jobs, seg.m, estimate=estimate)
     upper = max(estimate.upper_bound, lower * (1 + tolerance))
     lower = max(lower, 1e-300)
     upper = max(upper, lower)
@@ -343,7 +336,7 @@ def _gen_dual_search(seg: _Segment, inner: float):
         dual_calls += 1
         widen += 1
     if schedule is None:
-        raise RuntimeError(
+        raise BracketError(
             "dual algorithm rejected every target makespan; cannot bracket the optimum"
         )
     best = schedule
@@ -371,22 +364,23 @@ def _gen_dual_search(seg: _Segment, inner: float):
         iterations=iterations,
         dual_calls=dual_calls,
         gamma_probes=seg.oracle.gamma_probes,
+        estimate=estimate,
     )
-    return result, estimate
+    return result
 
 
 def _gen_fptas(seg: _Segment):
     """``fptas_schedule`` (vectorized); returns (schedule, estimate).  The
     eps / machine-threshold preconditions were checked at pack time."""
     inner = seg.eps / 3.0
-    result, estimate = yield from _gen_dual_search(seg, inner)
+    result = yield from _gen_dual_search(seg, inner)
     result.schedule.metadata["algorithm"] = "fptas"
     result.schedule.metadata["eps"] = seg.eps
     result.schedule.metadata["guarantee"] = 1.0 + seg.eps
     result.schedule.metadata["backend"] = "vectorized"
     if seg.validate and seg.jobs:
         assert_valid_schedule(result.schedule, seg.jobs, oracle=seg.oracle)
-    return result.schedule, estimate
+    return result.schedule, result.estimate
 
 
 def _gen_solve(seg: _Segment):
@@ -398,12 +392,10 @@ def _gen_solve(seg: _Segment):
     else:  # fptas
         schedule, estimate = yield from _gen_fptas(seg)
         guarantee = 1.0 + seg.eps
-    # solo computes ``makespan_lower_bound(jobs, m)`` with a *fresh scalar*
-    # estimator; γ-arrays and therefore every phi value are exact regardless
-    # of backend or cache state, so the scalar re-estimation reproduces
-    # exactly the omega the batched bracket already computed — reuse it.
-    # (Pinned by the mega differential mode and the megabatch property test.)
-    lower = max(_trivial(seg), estimate.omega)
+    # certified exactly as solo schedule_moldable certifies: from the
+    # estimate the lockstep driver computed (pinned by the mega differential
+    # mode and the megabatch property test)
+    lower = makespan_lower_bound(seg.jobs, seg.m, estimate=estimate)
     schedule.metadata.setdefault("algorithm", seg.chosen)
     return SchedulingResult(
         schedule=schedule,
@@ -411,6 +403,7 @@ def _gen_solve(seg: _Segment):
         eps=seg.eps,
         lower_bound=lower,
         guarantee=guarantee,
+        estimate=estimate,
     )
 
 

@@ -548,17 +548,13 @@ class _Dispatch:
                     "pack": [self._task_payload(t) for t in tasks],
                     "step": self.policy.step(task.step).to_dict(),
                 }
+            died_idle = False
             try:
                 slot.conn.send(("task", payload))
             except OSError:
-                # the worker died while idle; recycle it and retry the task
-                slot.kill()
-                self._respawn(slot)
-                for t in tasks:
-                    self._failure(
-                        t, "worker-death", "worker died before accepting the task", 0.0
-                    )
-                continue
+                # the worker died while idle; recycle it (outside this
+                # handler, see _collect) and retry the task
+                died_idle = True
             except Exception:
                 # pickling failed before any bytes hit the pipe: the channel
                 # is intact, but the instance can never reach a worker.  Solo
@@ -570,6 +566,14 @@ class _Dispatch:
                     self._failure(
                         t, "serialization", traceback.format_exc(), 0.0,
                         force_quarantine=len(tasks) == 1,
+                    )
+                continue
+            if died_idle:
+                slot.kill()
+                self._respawn(slot)
+                for t in tasks:
+                    self._failure(
+                        t, "worker-death", "worker died before accepting the task", 0.0
                     )
                 continue
             slot.task = tasks if len(tasks) > 1 else task
@@ -609,22 +613,17 @@ class _Dispatch:
             # fails every member (each retries individually afterwards)
             tasks = task if isinstance(task, list) else [task]
             elapsed = time.monotonic() - slot.started
+            reply = None
             if slot.conn in ready:
                 try:
-                    kind, payload = slot.conn.recv()
+                    reply = slot.conn.recv()
                 except (EOFError, OSError):
-                    proc = slot.proc
-                    slot.kill()
-                    exitcode = proc.exitcode
-                    self._respawn(slot)
-                    for t in tasks:
-                        self._failure(
-                            t,
-                            "worker-death",
-                            f"worker died mid-solve (exitcode {exitcode})",
-                            elapsed,
-                        )
-                    continue
+                    # the worker died: respawn it below, outside this
+                    # handler — a worker forked inside it would carry the
+                    # EOFError as the context of every traceback it reports
+                    pass
+            if reply is not None:
+                kind, payload = reply
                 slot.task = None
                 slot.deadline = None
                 if kind == "ok":
@@ -637,7 +636,7 @@ class _Dispatch:
                     error = payload.get("traceback") or payload.get("error")
                     for t in tasks:
                         self._failure(t, "raise", error, elapsed)
-            elif slot.proc.sentinel in ready:
+            elif slot.conn in ready or slot.proc.sentinel in ready:
                 proc = slot.proc
                 slot.kill()
                 exitcode = proc.exitcode

@@ -36,7 +36,12 @@ every backend and asserts
   same makespan and the same peak processor count on every schedule;
 * an agreeing independent simulator replay (the discrete-event engine's
   scalar loop shares no code with the validator) for every non-scalar
-  backend.
+  backend;
+* exact certification: ``schedule_moldable`` certifies from the driver's
+  own estimate, so on both backends its ``lower_bound`` must equal a fresh
+  scalar :func:`makespan_lower_bound` re-estimation — kept here only as
+  the referee — bit for bit (``online`` cases pin the release-aware bound
+  the same way).
 
 :func:`save_failure` serialises a failing case into ``corpus/`` — the
 hypothesis fuzzer in ``test_cross_backend.py`` calls it from its exception
@@ -57,7 +62,7 @@ from typing import Callable, Dict
 import numpy as np
 
 from repro.core.bounded_algorithm import bounded_schedule
-from repro.core.bounds import trivial_lower_bound
+from repro.core.bounds import makespan_lower_bound, release_aware_lower_bound, trivial_lower_bound
 from repro.core.compressible_algorithm import compressible_schedule
 from repro.core.fptas import fptas_schedule
 from repro.core.mrt import mrt_schedule
@@ -367,6 +372,15 @@ def _run_online_case(case: dict) -> None:
     scalar_inst = build_instance(case)
     scalar = run_online(case, "scalar", scalar_inst)
     _assert_validator_verdicts_agree(scalar.schedule, scalar_inst.jobs, case)
+    # the referee: a fresh scalar estimate of the release-sorted stream
+    stream = sorted(build_instance(case).arrivals, key=lambda pair: pair[1])
+    jobs = [job for job, _ in stream]
+    releases = [release for _, release in stream]
+    m = effective_m(case)
+    referee = release_aware_lower_bound(
+        jobs, releases, m, base=makespan_lower_bound(jobs, m)
+    )
+    assert scalar.report.lower_bound == referee, f"case {case!r}, scalar (online)"
 
     for backend in BACKENDS[1:]:
         if backend in LIST_ONLY_BACKENDS and case["driver"] != "two_approx":
@@ -384,6 +398,7 @@ def _run_online_case(case: dict) -> None:
         assert scalar.report.replans == result.report.replans, context
         assert scalar.report.offline_makespan == result.report.offline_makespan, context
         assert scalar.report.lower_bound == result.report.lower_bound, context
+        assert result.report.lower_bound == referee, context
         assert [e.barrier for e in scalar.report.epochs] == [
             e.barrier for e in result.report.epochs
         ], context
@@ -470,6 +485,28 @@ def _run_mega_case(case: dict) -> None:
     _assert_validator_verdicts_agree(result.schedule, mega_jobs, case)
 
 
+def _assert_certification_exact(case: dict, makespan: float) -> None:
+    """``schedule_moldable`` on both backends: the driver's schedule, and a
+    ``lower_bound`` certified from the driver's own estimate that equals the
+    independent scalar re-estimation bit for bit."""
+    m = effective_m(case)
+    referee = makespan_lower_bound(build_instance(case).jobs, m)
+    for backend in ("scalar", "vectorized"):
+        result = schedule_moldable(
+            build_instance(case).jobs,
+            m,
+            float(case["eps"]),
+            algorithm=case["driver"],
+            backend=backend,
+        )
+        context = f"case {case!r}, schedule_moldable backend {backend!r}"
+        assert result.makespan == makespan, context
+        assert result.estimate is not None, context
+        assert result.lower_bound == referee, (
+            f"{context}: lower bound {result.lower_bound!r} != referee {referee!r}"
+        )
+
+
 def run_case(case: dict) -> None:
     """Execute one differential case; raises AssertionError on any mismatch.
 
@@ -519,6 +556,8 @@ def run_case(case: dict) -> None:
                 f"(backend {backend!r}): {exc}"
             )
         assert trace.makespan == schedule.makespan, f"case {case!r}, backend {backend!r}"
+
+    _assert_certification_exact(case, scalar.makespan)
 
 
 def case_id(case: dict) -> str:
