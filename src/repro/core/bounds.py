@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .allotment import Allotment, canonical_allotment
 from .job import MoldableJob, max_sequential_time, total_minimal_work
 
@@ -97,30 +99,82 @@ class EstimatorResult:
         return self.ratio * self.omega
 
 
-def _phi(jobs: Sequence[MoldableJob], m: int, tau: float, oracle=None) -> Optional[float]:
+def _phi(jobs: Sequence[MoldableJob], m: int, tau: float) -> Optional[float]:
     """Average-load value ``sum_j w_j(gamma_j(tau)) / m`` or ``None`` if some
     job cannot meet ``tau``."""
-    if oracle is not None:
-        loads = oracle.canonical_loads(tau)
-        if loads is None:
-            return None
-        # left-to-right sum matches the scalar Allotment.total_work() bit for bit
-        return oracle.sequential_sum(loads) / m
     allot = canonical_allotment(jobs, tau, m)
     if allot is None:
         return None
     return allot.average_load(m)
 
 
-def _canonical_allotment(jobs: Sequence[MoldableJob], tau: float, m: int, oracle=None) -> Optional[Allotment]:
-    if oracle is None:
-        return canonical_allotment(jobs, tau, m)
-    gammas = oracle.gamma_array(tau)
+def _phi_steps(m: int, n: int, tau: float):
+    """:func:`_phi` as a request generator (see :func:`estimator_steps`);
+    returns ``(phi, times)``, the times ``t_j(gamma_j(tau))`` evaluated for
+    it, or ``(None, None)``."""
+    gammas = yield ("gamma", tau)
+    if len(gammas) and gammas.max() > m:
+        return None, None
+    ks = np.broadcast_to(np.asarray(gammas, dtype=np.float64), (n,))
+    times = yield ("eval", ks)
+    # left-to-right sum matches the scalar Allotment.total_work() bit for bit
+    return sum((ks * times).tolist()) / m, times
+
+
+def _allotment_steps(jobs: Sequence[MoldableJob], m: int, tau: float):
+    """``canonical_allotment(jobs, tau, m)`` as a request generator."""
+    gammas = yield ("gamma", tau)
     if len(gammas) and gammas.max() > m:
         return None
     # tolist() hands back Python ints in one pass; the γ-array is already
     # validated (>= 1), so the Allotment re-check loop is skipped.
     return Allotment.from_trusted_counts(dict(zip(jobs, gammas.tolist())))
+
+
+def estimator_steps(jobs, m: int, oracle, *, tol: float = 1e-6, max_iter: int = 128):
+    """The batched :func:`ludwig_tiwari_estimator` as a request generator.
+
+    It yields ``("gamma", tau)`` for a γ-array and ``("eval", ks)`` for the
+    times ``t_j(ks_j)``, is sent the answers and returns the
+    :class:`EstimatorResult`.  ``oracle`` (the non-empty instance's
+    :class:`repro.perf.oracle.BatchedOracle`) answers solo through
+    ``oracle.run``; :func:`repro.perf.megabatch.solve_mega` answers many
+    instances' requests per round.  Only the cached ``oracle.t1`` /
+    ``oracle.tm`` are read directly.
+    """
+    n = len(jobs)
+    t_max, t1_sum = float(oracle.tm.max()), oracle.sequential_sum(oracle.t1)
+    # trivial_lower_bound(jobs, m) from the values already at hand
+    trivial = max(t_max, t1_sum / m)
+    lo = max(t_max, 1e-300)
+    hi = max(t1_sum, lo)
+
+    # the same bracket moves as the scalar loop in ludwig_tiwari_estimator
+    phi_lo, _ = yield from _phi_steps(m, n, lo)
+    if phi_lo is not None and phi_lo <= lo:
+        allot = require_feasible((yield from _allotment_steps(jobs, m, lo)), lo, m)
+        return EstimatorResult(omega=max(phi_lo, lo), allotment=allot, trivial=trivial)
+
+    for _ in range(max_iter):
+        if hi <= lo * (1.0 + tol):
+            break
+        mid = math.sqrt(lo * hi)
+        phi_mid, _ = yield from _phi_steps(m, n, mid)
+        if phi_mid is None or phi_mid > mid:
+            lo = mid
+        else:
+            hi = mid
+
+    allot = require_feasible((yield from _allotment_steps(jobs, m, hi)), hi, m)
+    # batched twins of average_load / max_time (the work sum above and an
+    # order-independent max — bit-identical to the scalar loops); the γ-array
+    # at hi is a threshold-cache hit
+    phi_hi, times = yield from _phi_steps(m, n, hi)
+    omega = max(phi_hi, float(times.max()))
+    omega = max(omega / (1.0 + tol), trivial, lo)
+    return EstimatorResult(
+        omega=omega, allotment=allot, ratio=2.0 * (1.0 + 2.0 * tol), trivial=trivial
+    )
 
 
 def ludwig_tiwari_estimator(
@@ -155,9 +209,9 @@ def ludwig_tiwari_estimator(
         raise ValueError("m must be >= 1")
 
     if oracle is not None:
-        t_max, t1_sum = float(oracle.tm.max()), oracle.sequential_sum(oracle.t1)
-    else:
-        t_max, t1_sum = max_sequential_time(jobs, m), serial_upper_bound(jobs)
+        return oracle.run(estimator_steps(jobs, m, oracle, tol=tol, max_iter=max_iter))
+
+    t_max, t1_sum = max_sequential_time(jobs, m), serial_upper_bound(jobs)
     # trivial_lower_bound(jobs, m) from the values already at hand
     trivial = max(t_max, t1_sum / m)
     lo = max(t_max, 1e-300)
@@ -166,33 +220,24 @@ def ludwig_tiwari_estimator(
     # g(hi) is finite (every job fits on one machine within the serial bound).
     # Invariant we move towards: phi(hi) <= hi  and  (phi(lo) > lo or lo is the
     # global max_j t_j(m) floor).
-    phi_lo = _phi(jobs, m, lo, oracle)
+    phi_lo = _phi(jobs, m, lo)
     if phi_lo is not None and phi_lo <= lo:
         # the crossover is at or below the floor; the floor itself is optimal
-        allot = require_feasible(_canonical_allotment(jobs, lo, m, oracle), lo, m)
+        allot = require_feasible(canonical_allotment(jobs, lo, m), lo, m)
         return EstimatorResult(omega=max(phi_lo, lo), allotment=allot, trivial=trivial)
 
     for _ in range(max_iter):
         if hi <= lo * (1.0 + tol):
             break
         mid = math.sqrt(lo * hi)
-        phi_mid = _phi(jobs, m, mid, oracle)
+        phi_mid = _phi(jobs, m, mid)
         if phi_mid is None or phi_mid > mid:
             lo = mid
         else:
             hi = mid
 
-    allot = require_feasible(_canonical_allotment(jobs, hi, m, oracle), hi, m)
-    if oracle is not None:
-        # batched twins of average_load / max_time (left-to-right work sum and
-        # an order-independent max — bit-identical to the scalar loops)
-        gammas = oracle.gamma_array(hi)
-        omega = max(
-            oracle.sequential_sum(oracle.works_at(gammas)) / m,
-            float(oracle.times_at(gammas).max()),
-        )
-    else:
-        omega = max(allot.average_load(m), allot.max_time())
+    allot = require_feasible(canonical_allotment(jobs, hi, m), hi, m)
+    omega = max(allot.average_load(m), allot.max_time())
     # omega as computed is an achievable value of g, hence >= min g >= ... but
     # we also need a certified lower bound; combine with the trivial bound.
     omega = max(omega / (1.0 + tol), trivial, lo)

@@ -97,22 +97,50 @@ def dual_binary_search(
     estimate = None
     if lower is None or upper is None:
         estimate = ludwig_tiwari_estimator(jobs, m, oracle=oracle)
+
+    def step(d):
+        return dual_fn(d)
+        yield  # never reached: a plain dual function makes no oracle requests
+
+    search = dual_search_steps(
+        jobs, m, step, tolerance=tolerance, estimate=estimate, lower=lower, upper=upper,
+        max_iterations=max_iterations, oracle=oracle,
+    )
+    try:  # no step yields, so the search runs to completion at once
+        next(search)
+    except StopIteration as done:
+        return done.value
+
+
+def dual_search_steps(
+    jobs, m: int, step, *, tolerance: float, estimate: Optional[EstimatorResult] = None,
+    lower: Optional[float] = None, upper: Optional[float] = None, max_iterations: int = 200,
+    oracle=None,
+):
+    """The bracket widening and bisection of :func:`dual_binary_search` as a
+    request generator (the protocol of
+    :func:`repro.core.bounds.estimator_steps`) returning its result.
+
+    ``step(d)`` is the dual algorithm as a request generator returning a
+    schedule, a thunk or ``None``; ``estimate`` fills whichever bracket end
+    ``lower`` / ``upper`` leaves open; ``oracle`` reports ``gamma_probes``.
+    """
+    if estimate is not None:
         est_lower = makespan_lower_bound(jobs, m, estimate=estimate)
-        est_upper = estimate.upper_bound
         lower = lower if lower is not None else est_lower
-        upper = upper if upper is not None else max(est_upper, lower * (1 + tolerance))
+        upper = upper if upper is not None else max(estimate.upper_bound, lower * (1 + tolerance))
     lower = max(lower, 1e-300)
     upper = max(upper, lower)
 
     dual_calls = 0
     # Make sure the upper end of the bracket is accepted; widen defensively if
     # the estimator slack made it marginally too small.
-    schedule = dual_fn(upper)
+    schedule = yield from step(upper)
     dual_calls += 1
     widen = 0
     while schedule is None and widen < 64:
         upper *= 2.0
-        schedule = dual_fn(upper)
+        schedule = yield from step(upper)
         dual_calls += 1
         widen += 1
     if schedule is None:
@@ -123,7 +151,7 @@ def dual_binary_search(
     iterations = 0
     while upper > lower * (1.0 + tolerance) and iterations < max_iterations:
         mid = math.sqrt(lower * upper)
-        candidate = dual_fn(mid)
+        candidate = yield from step(mid)
         dual_calls += 1
         iterations += 1
         if candidate is not None:

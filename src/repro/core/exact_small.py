@@ -131,7 +131,8 @@ def exact_schedule(jobs: Sequence[MoldableJob], m: int, *, force: bool = False) 
             if best_makespan <= lower * (1 + 1e-9):
                 break
 
-    assert best_plan is not None
+    if best_plan is None:
+        raise RuntimeError("exact search found no feasible schedule")
     allotment, starts = best_plan
 
     # build a concrete machine assignment: sweep jobs by start time and assign

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Union
 
+import numpy as np
+
 from .allotment import gamma
 from .backend import resolve_backend
 from .dual import DualSearchResult, dual_binary_search
@@ -31,6 +33,17 @@ __all__ = [
 def fptas_machine_threshold(n: int, eps: float) -> float:
     """The paper's condition for the FPTAS: ``m >= 8n/eps``."""
     return 8.0 * n / eps
+
+
+def check_fptas_args(n: int, m: int, eps: float, enforce_threshold: bool = True) -> None:
+    """The :func:`fptas_schedule` preconditions, checked before any oracle work."""
+    if not 0 < eps <= 1:
+        raise ValueError("eps must lie in (0, 1]")
+    if enforce_threshold and n > 0 and m < fptas_machine_threshold(n, eps):
+        raise ValueError(
+            f"the FPTAS requires m >= 8n/eps = {fptas_machine_threshold(n, eps):.1f}, got m={m}; "
+            "use ptas_schedule() for the general case"
+        )
 
 
 def fptas_dual(
@@ -59,34 +72,8 @@ def fptas_dual(
     backend, oracle = resolve_backend(jobs, m, backend, oracle)
     metadata = {"algorithm": "fptas_dual", "d": d, "eps": eps}
     if oracle is not None:
-        # columnar fast path: γ-counts, prefix-sum machine offsets and the
-        # final Schedule all stay in arrays (identical schedule to the loop).
-        import numpy as np
-
-        from ..perf.schedule_builder import schedule_from_arrays
-
-        gammas = oracle.gamma_array(threshold)
-        if len(gammas) and int(gammas.max()) > m:
-            return None
-        if sum(gammas.tolist()) > m:  # exact (Python int) total
-            return None
-
-        def build() -> Schedule:
-            n = len(gammas)
-            offsets = np.zeros(n, dtype=np.int64)
-            if n > 1:
-                np.cumsum(gammas[:-1], out=offsets[1:])
-            return schedule_from_arrays(
-                jobs,
-                m,
-                np.arange(n, dtype=np.int64),
-                np.zeros(n, dtype=np.float64),
-                offsets,
-                gammas,
-                metadata=metadata,
-            )
-
-        return build if defer_build else build()
+        build = oracle.run(fptas_dual_steps(jobs, m, d, eps))
+        return build if defer_build or build is None else build()
     counts = []
     total = 0
     for job in jobs:
@@ -103,6 +90,43 @@ def fptas_dual(
         schedule.add(job, 0.0, [(next_machine, count)])
         next_machine += count
     return schedule
+
+
+def fptas_dual_steps(jobs: Sequence[MoldableJob], m: int, d: float, eps: float):
+    """The batched :func:`fptas_dual` as a request generator (see
+    :func:`repro.core.bounds.estimator_steps`): one ``("gamma", (1+eps)d)``
+    request, then a zero-argument thunk building the accepted schedule, or
+    ``None`` for a rejection.
+
+    The γ-counts, prefix-sum machine offsets and the final ``Schedule`` all
+    stay in arrays (the same schedule as the scalar loop).
+    """
+    if d <= 0:
+        return None
+    gammas = yield ("gamma", (1.0 + eps) * d)
+    if len(gammas) and int(gammas.max()) > m:
+        return None
+    if sum(gammas.tolist()) > m:  # exact (Python int) total
+        return None
+
+    def build() -> Schedule:
+        from ..perf.schedule_builder import schedule_from_arrays
+
+        n = len(gammas)
+        offsets = np.zeros(n, dtype=np.int64)
+        if n > 1:
+            np.cumsum(gammas[:-1], out=offsets[1:])
+        return schedule_from_arrays(
+            jobs,
+            m,
+            np.arange(n, dtype=np.int64),
+            np.zeros(n, dtype=np.float64),
+            offsets,
+            gammas,
+            metadata={"algorithm": "fptas_dual", "d": d, "eps": eps},
+        )
+
+    return build
 
 
 def fptas_schedule(
@@ -128,15 +152,8 @@ def fptas_schedule(
     backend; its probe instrumentation lands in the result's
     ``gamma_probes``).
     """
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
     jobs = list(jobs)
-    n = len(jobs)
-    if enforce_threshold and n > 0 and m < fptas_machine_threshold(n, eps):
-        raise ValueError(
-            f"the FPTAS requires m >= 8n/eps = {fptas_machine_threshold(n, eps):.1f}, got m={m}; "
-            "use ptas_schedule() for the general case"
-        )
+    check_fptas_args(len(jobs), m, eps, enforce_threshold)
     backend, oracle = resolve_backend(jobs, m, backend, oracle)
     inner = eps / 3.0
     result = dual_binary_search(
@@ -148,13 +165,19 @@ def fptas_schedule(
         tolerance=inner,
         oracle=oracle,
     )
-    result.schedule.metadata["algorithm"] = "fptas"
-    result.schedule.metadata["eps"] = eps
-    result.schedule.metadata["guarantee"] = 1.0 + eps
-    result.schedule.metadata["backend"] = backend
-    if validate and jobs:
-        assert_valid_schedule(result.schedule, jobs, oracle=oracle)
+    finish_fptas(result.schedule, jobs, eps, backend, validate, oracle)
     return result
+
+
+def finish_fptas(schedule: Schedule, jobs, eps: float, backend: str, validate: bool, oracle) -> None:
+    """Record the FPTAS metadata on the accepted ``schedule`` and validate it
+    (shared by :func:`fptas_schedule` and the mega-batch solver)."""
+    schedule.metadata["algorithm"] = "fptas"
+    schedule.metadata["eps"] = eps
+    schedule.metadata["guarantee"] = 1.0 + eps
+    schedule.metadata["backend"] = backend
+    if validate and jobs:
+        assert_valid_schedule(schedule, jobs, oracle=oracle)
 
 
 def ptas_schedule(

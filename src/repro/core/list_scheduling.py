@@ -26,8 +26,6 @@ Three backends produce the bit-identical schedule:
 
 * ``backend="heap"`` — the scalar reference: a Python ``heapq`` wake-up loop
   with per-entry ``Schedule.add`` calls;
-* ``backend="wakeup"`` — the PR-2 columnar loop (one vectorized candidate
-  query per wake-up, still one ``heapq`` pop per completion);
 * ``backend="event_queue"`` — the batched event-queue formulation:
   completions live in one ``(end, seq)``-sorted array, every epoch pops *all*
   simultaneous completions with a single sorted-array partition, admission is
@@ -64,7 +62,7 @@ __all__ = [
 ]
 
 #: Selectable list-scheduling backends (all bit-identical).
-LIST_BACKENDS = ("heap", "wakeup", "event_queue", "event_queue_indexed")
+LIST_BACKENDS = ("heap", "event_queue", "event_queue_indexed")
 
 #: Absolute floor of the epoch-grouping tolerance (the scalar heap loop
 #: defined it first); see :func:`epoch_tolerance` for the effective window.
@@ -118,7 +116,6 @@ def list_schedule(
     *,
     order: Optional[Sequence[MoldableJob]] = None,
     backend: Optional[str] = None,
-    columnar: bool = False,
     allotted_times: Optional[Dict[MoldableJob, float]] = None,
     oracle=None,
     stats: Optional[dict] = None,
@@ -133,17 +130,13 @@ def list_schedule(
     order:
         Optional list priority; defaults to the order of ``jobs``.
     backend:
-        ``"heap"`` (scalar reference, default), ``"wakeup"`` (columnar
-        per-wake-up loop), ``"event_queue"`` (batched event epochs) or
-        ``"event_queue_indexed"`` (event epochs with the incremental
-        need-bucket candidate index) — all bit-identical; see the module
-        docstring.  Every backend handles arbitrary-precision ``m``: beyond
+        ``"heap"`` (scalar reference, default), ``"event_queue"`` (batched
+        event epochs) or ``"event_queue_indexed"`` (event epochs with the
+        incremental need-bucket candidate index) — all bit-identical; see the
+        module docstring.  Every backend handles arbitrary-precision ``m``: beyond
         the int64 range the columnar backends switch their capacity columns
         to the exact wide-limb (then object-dtype) tier of
         :mod:`repro.core.capacity` instead of falling back to the heap.
-    columnar:
-        Backwards-compatible alias: ``columnar=True`` selects
-        ``backend="wakeup"`` when ``backend`` is not given.
     allotted_times:
         Optional precomputed ``{job: t_j(allotment[job])}`` durations (only
         used by the array backends).  Callers that already evaluated the
@@ -162,8 +155,8 @@ def list_schedule(
         ``candidate_scans``: admission queries executed,
         ``candidates_visited``: total job slots those queries examined — the
         scanning backend examines every job slot per query, the indexed
-        backend only the bucket entries its prefix walks touch).  Every
-        columnar backend (wakeup included) also records ``capacity_tier``
+        backend only the bucket entries its prefix walks touch).  Both
+        event-queue backends also record ``capacity_tier``
         (``"int64"``/``"wide"``/``"object"``), the
         :mod:`repro.core.capacity` tier its capacity-axis arrays ran on.
 
@@ -175,32 +168,19 @@ def list_schedule(
     if m < 1:
         raise ValueError("m must be >= 1")
     if backend is None:
-        backend = "wakeup" if columnar else "heap"
+        backend = "heap"
     if backend not in LIST_BACKENDS:
         raise ValueError(f"unknown list scheduling backend {backend!r}; choose from {LIST_BACKENDS}")
     sequence = list(order) if order is not None else list(jobs)
     if len(sequence) != len(jobs) or {id(j) for j in sequence} != {id(j) for j in jobs}:
         raise ValueError("order must be a permutation of jobs")
-    total_need = 0
     for job in sequence:
         k = allotment.get(job)
         if k is None:
             raise ValueError(f"job {job.name!r} has no allotment")
         if k > m:
             raise ValueError(f"job {job.name!r} is allotted {k} > m={m} processors")
-        total_need += k
-    # One capacity decision for every columnar backend (wakeup included):
-    # the batch paths prefix-sum needs and popped span capacities (bounded by
-    # total_need + m), so the tier is chosen from both.  Within int64 range
-    # this is the exact historical ``total_need > MAX_COLUMNAR_M - m`` guard;
-    # beyond it the backends keep their batch structure on the wide-limb or
-    # object-dtype tier instead of silently forking to the heap reference.
-    ops = capacity_ops(m, total_need)
 
-    if backend == "wakeup":
-        if stats is not None:
-            stats["capacity_tier"] = ops.name
-        return _list_schedule_columnar(sequence, allotment, m, allotted_times, oracle, ops)
     if backend in ("event_queue", "event_queue_indexed"):
         return _list_schedule_event_queue(
             sequence,
@@ -210,7 +190,6 @@ def list_schedule(
             oracle,
             stats,
             indexed=backend == "event_queue_indexed",
-            ops=ops,
         )
 
     schedule = Schedule(m=m, metadata={"algorithm": "list_scheduling"})
@@ -271,148 +250,6 @@ def list_schedule(
             idle_count += count
 
     return schedule
-
-
-def _resolve_durations(
-    sequence: List[MoldableJob],
-    needs: Sequence[int],
-    allotted_times: Optional[Dict[MoldableJob, float]],
-    oracle,
-) -> List[float]:
-    """Per-job allotted processing times (bit-identical however resolved)."""
-    if allotted_times is not None:
-        return [allotted_times[job] for job in sequence]
-    if oracle is not None:
-        return oracle.times_for(
-            sequence, np.asarray(needs, dtype=np.float64)
-        ).tolist()
-    return [job.processing_time(k) for job, k in zip(sequence, needs)]
-
-
-def _list_schedule_columnar(
-    sequence: List[MoldableJob],
-    allotment: Allotment,
-    m: int,
-    allotted_times: Optional[Dict[MoldableJob, float]] = None,
-    oracle=None,
-    ops=None,
-) -> Schedule:
-    """Columnar twin of the scalar first-fit loop.
-
-    Produces the bit-identical schedule: the same first-fit decisions over the
-    same idle-span state, the same start times (completion times are computed
-    from the same ``processing_time`` floats), the same entry order — but
-    processor needs and durations are resolved once up front, placements are
-    collected as flat rows and materialized in one
-    :meth:`~repro.perf.schedule_builder.ArraySchedule.build` pass, and each
-    wake-up's list scan is one vectorized candidate query instead of a Python
-    pass over every pending job.
-
-    The scan equivalence: within one wake-up the idle count only *decreases*,
-    so a job the scalar scan rejected keeps being rejected until the next
-    completion — restarting the scan from the list head after every start
-    (the scalar loop) therefore starts exactly the jobs a single forward pass
-    over ``need <= idle_at_wakeup`` candidates starts, in the same order.
-    """
-    from ..perf.schedule_builder import ArraySchedule
-
-    builder = ArraySchedule(m, metadata={"algorithm": "list_scheduling"})
-    if not sequence:
-        return builder.build()
-
-    counts = allotment.counts
-    needs = [counts[job] for job in sequence]
-    if ops is None:
-        ops = capacity_ops(m, sum(needs))
-    needs_arr = ops.asarray(needs)
-    durations = _resolve_durations(sequence, needs, allotted_times, oracle)
-
-    # row columns, written through bound methods in the hot loop
-    jobs_col, starts_col, overrides_col, owner_col, first_col, count_col = (
-        builder.raw_columns()
-    )
-    row_job_append = jobs_col.append
-    row_start_append = starts_col.append
-    row_override_append = overrides_col.append
-    span_owner_append = owner_col.append
-    span_first_append = first_col.append
-    span_count_append = count_col.append
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    waiting = np.ones(len(sequence), dtype=bool)
-    n_waiting = len(sequence)
-    #: lower bound on the smallest processor need among waiting jobs — lets a
-    #: wake-up that cannot start anything bail out with one comparison
-    min_waiting_need = ops.min_value(needs_arr)
-    idle_spans: List[MachineSpan] = [(0, m)]
-    idle_count = m
-    running: List[Tuple[float, int, Tuple[MachineSpan, ...]]] = []
-    seq = 0
-    now = 0.0
-    row = 0
-
-    while n_waiting or running:
-        if n_waiting and idle_count >= min_waiting_need:
-            # all pending jobs that could fit at this wake-up, in list order;
-            # iterated lazily (map) because the loop usually breaks as soon as
-            # the idle machines run out
-            candidates = np.flatnonzero(waiting & ops.le_mask(needs_arr, idle_count))
-            started_any = False
-            for ji in map(int, candidates):
-                need = needs[ji]
-                if need > idle_count:
-                    continue
-                taken: List[MachineSpan] = []
-                idle_count -= need
-                while need > 0:
-                    first, count = idle_spans.pop()
-                    if count <= need:
-                        taken.append((first, count))
-                        span_owner_append(row)
-                        span_first_append(first)
-                        span_count_append(count)
-                        need -= count
-                    else:
-                        taken.append((first, need))
-                        span_owner_append(row)
-                        span_first_append(first)
-                        span_count_append(need)
-                        idle_spans.append((first + need, count - need))
-                        need = 0
-                row_job_append(sequence[ji])
-                row_start_append(now)
-                row_override_append(None)
-                heappush(running, (now + durations[ji], seq, tuple(taken)))
-                row += 1
-                seq += 1
-                waiting[ji] = False
-                n_waiting -= 1
-                started_any = True
-                if idle_count == 0:
-                    break
-            if n_waiting and not started_any:
-                # The lower bound was stale (true minimum is larger): refresh
-                # it so the next idle wake-ups can skip in O(1).  After a
-                # start the stale bound stays *valid* (needs only leave the
-                # waiting set, the minimum can only grow), so no refresh.
-                min_waiting_need = ops.min_value(needs_arr, waiting)
-        if not running:
-            if n_waiting:  # pragma: no cover - cannot happen: every job fits on m >= a_j machines
-                raise RuntimeError("deadlock in list scheduling")
-            break
-        end, _, spans = heappop(running)
-        now = end
-        released = list(spans)
-        cut = now + epoch_tolerance(now)
-        while running and running[0][0] <= cut:
-            _, _, more = heappop(running)
-            released.extend(more)
-        for first, count in released:
-            idle_spans.append((first, count))
-            idle_count += count
-
-    return builder.build()
 
 
 #: Below this many admitted jobs (or admission candidates) an epoch uses the
@@ -559,7 +396,6 @@ def _list_schedule_event_queue(
     stats: Optional[dict] = None,
     *,
     indexed: bool = False,
-    ops=None,
 ) -> Schedule:
     """Batched event-queue twin of the scalar first-fit loop.
 
@@ -619,8 +455,12 @@ def _list_schedule_event_queue(
     backend_name = "event_queue_indexed" if indexed else "event_queue"
     counts = allotment.counts
     needs_list = [counts[job] for job in sequence]
-    if ops is None:
-        ops = capacity_ops(m, sum(needs_list))
+    # The batch paths prefix-sum needs and popped span capacities (bounded by
+    # total need + m), so the tier is chosen from both.  Within int64 range
+    # this is the exact historical ``total_need > MAX_COLUMNAR_M - m`` guard;
+    # beyond it the batch structure stays on the wide-limb or object-dtype
+    # tier instead of silently forking to the heap reference.
+    ops = capacity_ops(m, sum(needs_list))
     if stats is not None:
         stats.update(
             backend=backend_name,
@@ -635,7 +475,13 @@ def _list_schedule_event_queue(
         return builder.build()
 
     needs = ops.asarray(needs_list)
-    durations = _resolve_durations(sequence, needs_list, allotted_times, oracle)
+    # per-job allotted processing times (bit-identical however resolved)
+    if allotted_times is not None:
+        durations = [allotted_times[job] for job in sequence]
+    elif oracle is not None:
+        durations = oracle.times_for(sequence, np.asarray(needs_list, dtype=np.float64)).tolist()
+    else:
+        durations = [job.processing_time(k) for job, k in zip(sequence, needs_list)]
     index = _NeedBucketIndex(needs_list) if indexed else None
 
     # builder columns, written directly (block mode)
@@ -650,8 +496,10 @@ def _list_schedule_event_queue(
 
     waiting = np.ones(n, dtype=bool)
     n_waiting = n
-    #: lower bound on the smallest need among waiting jobs (see the wakeup
-    #: backend: stale-but-valid, refreshed only on a fruitless scan)
+    #: lower bound on the smallest need among waiting jobs — lets an epoch
+    #: that cannot start anything skip its query with one comparison.  After
+    #: a start it stays valid (needs only leave the waiting set, so the
+    #: minimum can only grow); it is refreshed only on a fruitless scan.
     min_waiting_need = ops.min_value(needs)
     idle_spans: List[MachineSpan] = [(0, m)]
     idle = m

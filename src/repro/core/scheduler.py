@@ -68,6 +68,18 @@ class SchedulingResult:
         return self.makespan / self.lower_bound
 
 
+def resolve_algorithm(n: int, m: int, eps: float, algorithm: str) -> str:
+    """The algorithm that solves ``n > 0`` jobs on ``m`` machines (``"auto"``
+    resolved); ``ValueError`` for a bad ``m`` or algorithm name."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose one of {ALGORITHMS}")
+    if algorithm == "auto" and n:
+        return "fptas" if m >= fptas_machine_threshold(n, eps) else "bounded"
+    return algorithm
+
+
 def schedule_moldable(
     jobs: Sequence[MoldableJob],
     m: int,
@@ -122,21 +134,13 @@ def schedule_moldable(
         oracles internally and ignore this argument.
     list_backend:
         Optional list-scheduling backend override for ``"two_approx"``
-        (``"heap"``, ``"wakeup"``, ``"event_queue"``,
-        ``"event_queue_indexed"``); ignored by the other algorithms.
+        (``"heap"``, ``"event_queue"``, ``"event_queue_indexed"``); ignored
+        by the other algorithms.
     """
     jobs = list(jobs)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; choose one of {ALGORITHMS}")
-
+    chosen = resolve_algorithm(len(jobs), m, eps, algorithm)
     if not jobs:
         return SchedulingResult(Schedule(m=m), algorithm, eps, 0.0, None)
-
-    chosen = algorithm
-    if algorithm == "auto":
-        chosen = "fptas" if m >= fptas_machine_threshold(len(jobs), eps) else "bounded"
 
     if chosen == "two_approx":
         res = two_approximation(
@@ -177,13 +181,24 @@ def schedule_moldable(
     estimate = None
     if res is not None:
         schedule, estimate = res.schedule, res.estimate
-    lower = makespan_lower_bound(jobs, m, estimate=estimate)
+    return certified_result(jobs, m, eps, chosen, schedule, guarantee, estimate, makespan_lower_bound)
+
+
+def certified_result(jobs, m, eps, chosen, schedule, guarantee, estimate, certify) -> SchedulingResult:
+    """The :class:`SchedulingResult` of a solve, its lower bound certified as
+    ``certify(jobs, m, estimate=estimate)``.
+
+    ``certify`` is :func:`~repro.core.bounds.makespan_lower_bound` as the
+    calling module names it (here, or in :mod:`repro.perf.megabatch`), so
+    wrapping the name in one module (the perfbench tracer does) instruments
+    that caller alone.
+    """
     schedule.metadata.setdefault("algorithm", chosen)
     return SchedulingResult(
         schedule=schedule,
         algorithm=chosen,
         eps=eps,
-        lower_bound=lower,
+        lower_bound=certify(jobs, m, estimate=estimate),
         guarantee=guarantee,
         estimate=estimate,
     )

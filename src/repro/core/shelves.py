@@ -377,7 +377,10 @@ def build_three_shelf_schedule(
     for idx, job in enumerate(s2_alloc.keys()):
         g = gamma_fn(job, three_half, m)
         # S2 jobs satisfy t_j(m) <= d/2 <= 3d/2, so g is always defined.
-        assert g is not None
+        if g is None:
+            raise RuntimeError(
+                f"job {job.name!r} in S2 cannot meet 3d/2={three_half!r} on m={m} machines"
+            )
         move_heap.append((g, idx, job))
     heapq.heapify(move_heap)
 

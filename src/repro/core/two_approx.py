@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .backend import resolve_backend
 from .bounds import EstimatorResult, ludwig_tiwari_estimator
 from .job import MoldableJob
@@ -70,10 +72,9 @@ def two_approximation(
     backend; lets callers read its probe instrumentation afterwards).
     ``list_backend`` overrides the list-scheduling phase's backend (defaults
     to the batched ``"event_queue"`` on the vectorized path and the scalar
-    ``"heap"`` loop otherwise; ``"wakeup"`` selects the columnar per-wake-up
-    loop, ``"event_queue_indexed"`` the event-queue variant with the
-    incremental need-bucket candidate index, the better fit for no-tie
-    deep-queue workloads — all bit-identical).
+    ``"heap"`` loop otherwise; ``"event_queue_indexed"`` selects the
+    event-queue variant with the incremental need-bucket candidate index,
+    the better fit for no-tie deep-queue workloads — all bit-identical).
     """
     jobs = list(jobs)
     backend, oracle = resolve_backend(jobs, m, backend, oracle)
@@ -83,23 +84,36 @@ def two_approximation(
         return TwoApproxResult(
             Schedule(m=m, metadata={"algorithm": "two_approximation"}), estimate, probes
         )
+    if oracle is not None:
+        steps = lpt_steps(jobs, m, estimate, oracle, validate=validate, list_backend=list_backend)
+        return TwoApproxResult(oracle.run(steps), estimate, oracle.gamma_probes)
     # Sort longest-processing-time first: not required for the bound but a
     # standard practical improvement.
-    if oracle is not None:
-        # columnar: evaluate all allotted processing times in one batched
-        # kernel pass; argsort(stable) reproduces the scalar sorted() order.
-        # The same times double as the list scheduler's durations.
-        import numpy as np
+    order = sorted(jobs, key=lambda j: estimate.allotment[j] * 0 - j.processing_time(estimate.allotment[j]))
+    list_backend = "heap" if list_backend is None else list_backend
+    schedule = _list_phase(jobs, m, estimate, order, None, None, validate, list_backend)
+    return TwoApproxResult(schedule, estimate, None)
 
-        counts = estimate.allotment.counts
-        times = oracle.times_at(np.array([counts[j] for j in jobs], dtype=np.float64))
-        order = [jobs[i] for i in np.argsort(-times, kind="stable").tolist()]
-        allotted_times = dict(zip(jobs, times.tolist()))
-    else:
-        order = sorted(jobs, key=lambda j: estimate.allotment[j] * 0 - j.processing_time(estimate.allotment[j]))
-        allotted_times = None
-    if list_backend is None:
-        list_backend = "event_queue" if oracle is not None else "heap"
+
+def lpt_steps(jobs, m, estimate: EstimatorResult, oracle, *, validate=True, list_backend=None):
+    """The batched list-scheduling phase of :func:`two_approximation` as a
+    request generator (see :func:`repro.core.bounds.estimator_steps`)
+    returning the validated schedule.
+
+    One ``("eval", counts)`` request evaluates all allotted processing times;
+    ``argsort(stable)`` of them reproduces the scalar longest-first
+    ``sorted()`` order, and the same times double as the list scheduler's
+    durations.
+    """
+    counts = estimate.allotment.counts
+    times = yield ("eval", np.array([counts[j] for j in jobs], dtype=np.float64))
+    order = [jobs[i] for i in np.argsort(-times, kind="stable").tolist()]
+    allotted_times = dict(zip(jobs, times.tolist()))
+    list_backend = "event_queue" if list_backend is None else list_backend
+    return _list_phase(jobs, m, estimate, order, allotted_times, oracle, validate, list_backend)
+
+
+def _list_phase(jobs, m, estimate, order, allotted_times, oracle, validate, list_backend) -> Schedule:
     schedule = list_schedule(
         jobs,
         estimate.allotment,
@@ -113,6 +127,4 @@ def two_approximation(
     schedule.metadata["omega"] = estimate.omega
     if validate:
         assert_valid_schedule(schedule, jobs, oracle=oracle)
-    return TwoApproxResult(
-        schedule, estimate, oracle.gamma_probes if oracle is not None else None
-    )
+    return schedule

@@ -95,9 +95,11 @@ def run(*, cases=((30, 16), (60, 32), (120, 64), (200, 128)), seed: int = 23, d_
             # target too tight for this instance; fall back to the 2x upper bound
             d = 2.0 * omega
             shelf1 = _shelf1_by_knapsack(instance.jobs, m, d)
-            assert shelf1 is not None
+            if shelf1 is None:
+                raise RuntimeError(f"no shelf-1 selection at d = 2 * omega = {d!r}")
         two_shelf = build_two_shelf_schedule(instance.jobs, m, d, shelf1)
-        assert two_shelf is not None
+        if two_shelf is None:
+            raise RuntimeError(f"no two-shelf schedule at d = {d!r}")
         diag = ThreeShelfDiagnostics(d=d, m=m)
         schedule = build_three_shelf_schedule(instance.jobs, m, d, shelf1, diagnostics=diag)
         row = ShelfRow(

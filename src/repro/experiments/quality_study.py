@@ -99,7 +99,8 @@ def run(
     # 2) planted-optimum instances
     for idx, groups in enumerate(planted_groups):
         instance = planted_partition_instance(groups, seed=seed + 100 + idx)
-        assert instance.known_optimum is not None
+        if instance.known_optimum is None:
+            raise ValueError("a planted-partition instance must know its optimum")
         for algorithm in algorithms:
             rows.append(
                 _evaluate(

@@ -455,5 +455,6 @@ def solve_compressible_knapsack(
                 alpha_tilde=alpha,
                 rho_prime=rho_prime,
             )
-    assert best is not None
+    if best is None:
+        raise RuntimeError("compressible knapsack evaluated no capacity split")
     return best

@@ -26,13 +26,15 @@ accounting.  This holds because
   independently, so interleaving many instances' searches in one
   :func:`~repro.perf.oracle.lockstep_gamma_round` changes neither the probed
   counts nor the results (per-segment ``stats`` are attributed back exactly);
-* the drivers here are line-for-line transcriptions of the solo drivers
-  (:func:`~repro.core.bounds.ludwig_tiwari_estimator`,
-  :func:`~repro.core.dual.dual_binary_search`,
-  :func:`~repro.core.two_approx.two_approximation`,
-  :func:`~repro.core.fptas.fptas_schedule`) rewritten as generators that
-  *yield* their oracle requests — the request streams are identical, only
-  their execution is batched across segments.
+* the drivers here are the solo drivers' own generators
+  (:func:`~repro.core.bounds.estimator_steps`,
+  :func:`~repro.core.dual.dual_search_steps`,
+  :func:`~repro.core.fptas.fptas_dual_steps`,
+  :func:`~repro.core.two_approx.lpt_steps`), which *yield* their oracle
+  requests; a solo call answers them one at a time through
+  :meth:`~repro.perf.oracle.BatchedOracle.run`, the mega batch answers a
+  round of them across segments — the request streams are identical, only
+  their execution is batched.
 
 The differential harness's ``mega`` mode enforces the contract: every fuzz
 case is solved solo and inside a random co-batch, and the schedules must be
@@ -45,24 +47,29 @@ Instances whose algorithm resolves to something other than ``two_approx`` /
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.allotment import Allotment
 from ..core.backend import MAX_VECTORIZED_M
-from ..core.bounds import BracketError, EstimatorResult, makespan_lower_bound, require_feasible
-from ..core.dual import DualSearchResult
-from ..core.fptas import fptas_machine_threshold
+from ..core.bounds import estimator_steps, makespan_lower_bound
+from ..core.dual import dual_search_steps
+from ..core.fptas import check_fptas_args, finish_fptas, fptas_dual_steps
 from ..core.job import MoldableJob
-from ..core.list_scheduling import list_schedule
-from ..core.schedule import Schedule
-from ..core.scheduler import ALGORITHMS, SchedulingResult, schedule_moldable
-from ..core.validation import assert_valid_schedule
+from ..core.scheduler import (
+    SchedulingResult,
+    certified_result,
+    resolve_algorithm,
+    schedule_moldable,
+)
+from ..core.two_approx import lpt_steps
 from .arrays import JobArrayBundle
 from .oracle import BatchedOracle, lockstep_gamma_round
-from .schedule_builder import schedule_from_arrays
+
+# perfbench/tracer.py wraps these two names on this module as well: both run
+# inside the core generators, but the tracer's target list names them here.
+from ..core.list_scheduling import list_schedule  # noqa: F401
+from ..core.validation import assert_valid_schedule  # noqa: F401
 
 __all__ = ["MegaBatch", "MegaOracle", "solve_mega"]
 
@@ -192,218 +199,39 @@ class MegaOracle:
         return out
 
 
-# ---------------------------------------------------------------------------
-# generator transcriptions of the solo drivers
-#
-# Each generator yields ("gamma", threshold) or ("eval", per-job counts) and
-# receives the answer back via .send(); the request sequence is exactly the
-# solo driver's oracle-call sequence, so caches, warm starts and stats evolve
-# identically.  Return values travel on StopIteration.
-# ---------------------------------------------------------------------------
+def _gen_solve(seg: _Segment):
+    """``schedule_moldable`` for the batched algorithms, composed from the
+    solo drivers' own request generators; returns the solo
+    :class:`SchedulingResult` bit for bit.
 
-
-def _gen_phi(seg: _Segment, tau: float):
-    """``_phi`` (bounds.py): average canonical load at ``tau`` or ``None``."""
-    gammas = yield ("gamma", tau)
-    if len(gammas) and gammas.max() > seg.m:
-        return None
-    ks = np.broadcast_to(np.asarray(gammas, dtype=np.float64), (seg.n,))
-    times = yield ("eval", ks)
-    return BatchedOracle.sequential_sum(ks * times) / seg.m
-
-
-def _gen_allot(seg: _Segment, tau: float):
-    """``_canonical_allotment`` (bounds.py) on the batched path."""
-    gammas = yield ("gamma", tau)
-    if len(gammas) and gammas.max() > seg.m:
-        return None
-    return Allotment.from_trusted_counts(dict(zip(seg.jobs, gammas.tolist())))
-
-
-def _gen_estimator(seg: _Segment):
-    """``ludwig_tiwari_estimator`` (oracle path, default tol/max_iter)."""
-    tol = 1e-6
-    m = seg.m
-    oracle = seg.oracle
-    # t1/tm are cached on first access: no oracle requests
-    t_max, t1_sum = float(oracle.tm.max()), oracle.sequential_sum(oracle.t1)
-    trivial = max(t_max, t1_sum / m)
-    lo = max(t_max, 1e-300)
-    hi = max(t1_sum, lo)
-
-    phi_lo = yield from _gen_phi(seg, lo)
-    if phi_lo is not None and phi_lo <= lo:
-        allot = require_feasible((yield from _gen_allot(seg, lo)), lo, m)
-        return EstimatorResult(omega=max(phi_lo, lo), allotment=allot, trivial=trivial)
-
-    for _ in range(128):
-        if hi <= lo * (1.0 + tol):
-            break
-        mid = math.sqrt(lo * hi)
-        phi_mid = yield from _gen_phi(seg, mid)
-        if phi_mid is None or phi_mid > mid:
-            lo = mid
-        else:
-            hi = mid
-
-    allot = require_feasible((yield from _gen_allot(seg, hi)), hi, m)
-    # solo reads gamma_array(hi) again (a threshold-cache hit) and evaluates
-    # works_at + times_at; the same times array serves both here.
-    gammas = yield ("gamma", hi)
-    ks = np.broadcast_to(np.asarray(gammas, dtype=np.float64), (seg.n,))
-    times = yield ("eval", ks)
-    omega = max(BatchedOracle.sequential_sum(ks * times) / m, float(times.max()))
-    omega = max(omega / (1.0 + tol), trivial, lo)
-    return EstimatorResult(
-        omega=omega, allotment=allot, ratio=2.0 * (1.0 + 2.0 * tol), trivial=trivial
-    )
-
-
-def _gen_two_approx(seg: _Segment):
-    """``two_approximation`` (vectorized path); returns (schedule, estimate)."""
-    jobs = seg.jobs
-    estimate = yield from _gen_estimator(seg)
-    counts = estimate.allotment.counts
-    ks = np.array([counts[j] for j in jobs], dtype=np.float64)
-    times = yield ("eval", ks)
-    order = [jobs[i] for i in np.argsort(-times, kind="stable").tolist()]
-    allotted_times = dict(zip(jobs, times.tolist()))
-    list_backend = seg.list_backend if seg.list_backend is not None else "event_queue"
-    schedule = list_schedule(
-        jobs,
-        estimate.allotment,
-        seg.m,
-        order=order,
-        backend=list_backend,
-        allotted_times=allotted_times,
-        oracle=seg.oracle,
-    )
-    schedule.metadata["algorithm"] = "two_approximation"
-    schedule.metadata["omega"] = estimate.omega
-    if seg.validate:
-        assert_valid_schedule(schedule, jobs, oracle=seg.oracle)
-    return schedule, estimate
-
-
-def _gen_fptas_dual(seg: _Segment, d: float, inner: float):
-    """``fptas_dual`` (vectorized, defer_build=True): a thunk or ``None``."""
-    if d <= 0:
-        return None
-    threshold = (1.0 + inner) * d
-    m = seg.m
-    gammas = yield ("gamma", threshold)
-    if len(gammas) and int(gammas.max()) > m:
-        return None
-    if sum(gammas.tolist()) > m:  # exact (Python int) total
-        return None
-    jobs = seg.jobs
-    metadata = {"algorithm": "fptas_dual", "d": d, "eps": inner}
-
-    def build() -> Schedule:
-        n = len(gammas)
-        offsets = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            np.cumsum(gammas[:-1], out=offsets[1:])
-        return schedule_from_arrays(
+    Each generator yields ``("gamma", threshold)`` or ``("eval", ks)`` and is
+    sent the answer; the request stream is exactly the solo driver's, so
+    caches, warm starts and stats evolve identically.
+    """
+    jobs, m, oracle = seg.jobs, seg.m, seg.oracle
+    estimate = yield from estimator_steps(jobs, m, oracle)
+    if seg.chosen == "two_approx":
+        schedule = yield from lpt_steps(
+            jobs, m, estimate, oracle, validate=seg.validate, list_backend=seg.list_backend
+        )
+        guarantee = 2.0
+    else:  # fptas; its eps / machine-threshold checks ran at pack time
+        inner = seg.eps / 3.0
+        search = yield from dual_search_steps(
             jobs,
             m,
-            np.arange(n, dtype=np.int64),
-            np.zeros(n, dtype=np.float64),
-            offsets,
-            gammas,
-            metadata=metadata,
+            lambda d: fptas_dual_steps(jobs, m, d, inner),
+            tolerance=inner,
+            estimate=estimate,
+            oracle=oracle,
         )
-
-    return build
-
-
-def _gen_dual_search(seg: _Segment, inner: float):
-    """``dual_binary_search`` with the FPTAS dual step."""
-    tolerance = inner
-    estimate = yield from _gen_estimator(seg)
-    lower = makespan_lower_bound(seg.jobs, seg.m, estimate=estimate)
-    upper = max(estimate.upper_bound, lower * (1 + tolerance))
-    lower = max(lower, 1e-300)
-    upper = max(upper, lower)
-
-    dual_calls = 0
-    schedule = yield from _gen_fptas_dual(seg, upper, inner)
-    dual_calls += 1
-    widen = 0
-    while schedule is None and widen < 64:
-        upper *= 2.0
-        schedule = yield from _gen_fptas_dual(seg, upper, inner)
-        dual_calls += 1
-        widen += 1
-    if schedule is None:
-        raise BracketError(
-            "dual algorithm rejected every target makespan; cannot bracket the optimum"
-        )
-    best = schedule
-    best_d = upper
-
-    iterations = 0
-    while upper > lower * (1.0 + tolerance) and iterations < 200:
-        mid = math.sqrt(lower * upper)
-        candidate = yield from _gen_fptas_dual(seg, mid, inner)
-        dual_calls += 1
-        iterations += 1
-        if candidate is not None:
-            best = candidate
-            best_d = mid
-            upper = mid
-        else:
-            lower = mid
-
-    if callable(best):
-        best = best()
-    result = DualSearchResult(
-        schedule=best,
-        accepted_d=best_d,
-        lower_bound=lower,
-        iterations=iterations,
-        dual_calls=dual_calls,
-        gamma_probes=seg.oracle.gamma_probes,
-        estimate=estimate,
-    )
-    return result
-
-
-def _gen_fptas(seg: _Segment):
-    """``fptas_schedule`` (vectorized); returns (schedule, estimate).  The
-    eps / machine-threshold preconditions were checked at pack time."""
-    inner = seg.eps / 3.0
-    result = yield from _gen_dual_search(seg, inner)
-    result.schedule.metadata["algorithm"] = "fptas"
-    result.schedule.metadata["eps"] = seg.eps
-    result.schedule.metadata["guarantee"] = 1.0 + seg.eps
-    result.schedule.metadata["backend"] = "vectorized"
-    if seg.validate and seg.jobs:
-        assert_valid_schedule(result.schedule, seg.jobs, oracle=seg.oracle)
-    return result.schedule, result.estimate
-
-
-def _gen_solve(seg: _Segment):
-    """``schedule_moldable`` for the batched algorithms; returns the solo
-    :class:`SchedulingResult` bit for bit."""
-    if seg.chosen == "two_approx":
-        schedule, estimate = yield from _gen_two_approx(seg)
-        guarantee: Optional[float] = 2.0
-    else:  # fptas
-        schedule, estimate = yield from _gen_fptas(seg)
+        schedule = search.schedule
+        finish_fptas(schedule, jobs, seg.eps, "vectorized", seg.validate, oracle)
         guarantee = 1.0 + seg.eps
     # certified exactly as solo schedule_moldable certifies: from the
-    # estimate the lockstep driver computed (pinned by the mega differential
-    # mode and the megabatch property test)
-    lower = makespan_lower_bound(seg.jobs, seg.m, estimate=estimate)
-    schedule.metadata.setdefault("algorithm", seg.chosen)
-    return SchedulingResult(
-        schedule=schedule,
-        algorithm=seg.chosen,
-        eps=seg.eps,
-        lower_bound=lower,
-        guarantee=guarantee,
-        estimate=estimate,
+    # estimate the lockstep driver computed
+    return certified_result(
+        jobs, m, seg.eps, seg.chosen, schedule, guarantee, estimate, makespan_lower_bound
     )
 
 
@@ -497,37 +325,17 @@ def solve_mega(
     ``segments`` (each packed oracle's solo-equivalent probe counters).
     """
     normalized = []
-    for item in instances:
+    segments = []
+    for slot, item in enumerate(instances):
         jobs, m, i_eps, i_alg = _coerce_instance(item, eps, algorithm)
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        if i_alg not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {i_alg!r}; choose one of {ALGORITHMS}")
-        chosen = i_alg
-        if jobs and i_alg == "auto":
-            chosen = (
-                "fptas" if m >= fptas_machine_threshold(len(jobs), i_eps) else "bounded"
-            )
+        chosen = resolve_algorithm(len(jobs), m, i_eps, i_alg)
         mega = bool(jobs) and chosen in ("two_approx", "fptas") and m <= MAX_VECTORIZED_M
         if mega and chosen == "fptas":
-            # solo fptas_schedule raises these before touching the oracle;
-            # surface them at pack time with identical messages
-            if not 0 < i_eps <= 1:
-                raise ValueError("eps must lie in (0, 1]")
-            if i_alg == "fptas" and m < fptas_machine_threshold(len(jobs), i_eps):
-                raise ValueError(
-                    f"the FPTAS requires m >= 8n/eps = "
-                    f"{fptas_machine_threshold(len(jobs), i_eps):.1f}, got m={m}; "
-                    "use ptas_schedule() for the general case"
-                )
-        normalized.append((jobs, m, i_eps, i_alg, chosen, mega))
-
-    segments = []
-    for slot, (jobs, m, i_eps, i_alg, chosen, mega) in enumerate(normalized):
+            # solo fptas_schedule raises these before touching the oracle
+            check_fptas_args(len(jobs), m, i_eps, enforce_threshold=i_alg == "fptas")
         if mega:
-            segments.append(
-                _Segment(slot, jobs, m, i_eps, chosen, validate, list_backend)
-            )
+            segments.append(_Segment(slot, jobs, m, i_eps, chosen, validate, list_backend))
+        normalized.append((jobs, m, i_eps, i_alg, mega))
 
     mega_results: Dict[int, SchedulingResult] = {}
     if segments:
@@ -545,22 +353,12 @@ def solve_mega(
         stats["eval_rounds"] = 0
         stats["segments"] = []
 
-    out: List[SchedulingResult] = []
-    for slot, (jobs, m, i_eps, i_alg, chosen, mega) in enumerate(normalized):
-        if mega:
-            out.append(mega_results[slot])
-        elif not jobs:
-            # solo empty-instance path: algorithm is reported as given
-            out.append(SchedulingResult(Schedule(m=m), i_alg, i_eps, 0.0, None))
-        else:
-            out.append(
-                schedule_moldable(
-                    jobs,
-                    m,
-                    i_eps,
-                    algorithm=i_alg,
-                    validate=validate,
-                    list_backend=list_backend,
-                )
-            )
-    return out
+    # the rest (empty instances included) are solo solves
+    return [
+        mega_results[slot]
+        if mega
+        else schedule_moldable(
+            jobs, m, i_eps, algorithm=i_alg, validate=validate, list_backend=list_backend
+        )
+        for slot, (jobs, m, i_eps, i_alg, mega) in enumerate(normalized)
+    ]

@@ -70,8 +70,8 @@ class BatchedOracle:
         if m < 1:
             raise ValueError("m must be >= 1")
         if m > MAX_COLUMNAR_M:
-            # γ-arrays store the sentinel m + 1 in int64, and tm / works_at /
-            # times_at funnel counts through float64 — the same int64 contract
+            # γ-arrays store the sentinel m + 1 in int64, and tm / times_at
+            # funnel counts through float64 — the same int64 contract
             # boundary as repro.core.capacity.capacity_tier (2^62).  The
             # compact input encoding allows larger m, but those instances must
             # use the scalar path (resolve_backend falls back automatically).
@@ -113,19 +113,32 @@ class BatchedOracle:
     # ------------------------------------------------------------- raw times
     @property
     def t1(self) -> np.ndarray:
-        """``t_j(1)`` for all jobs (evaluated once)."""
+        """``t_j(1)`` for all jobs (evaluated and checked once)."""
         if self._t1 is None:
-            self._t1 = self.bundle.eval_all(1.0)
-            self._t1.setflags(write=False)
+            self._t1 = self._checked_times(1)
         return self._t1
 
     @property
     def tm(self) -> np.ndarray:
-        """``t_j(m)`` for all jobs (evaluated once)."""
+        """``t_j(m)`` for all jobs (evaluated and checked once)."""
         if self._tm is None:
-            self._tm = self.bundle.eval_all(float(self.m))
-            self._tm.setflags(write=False)
+            self._tm = self._checked_times(self.m)
         return self._tm
+
+    def _checked_times(self, k: int) -> np.ndarray:
+        """``t_j(k)`` for all jobs, read-only; the first job (in job order)
+        whose kernel value is not a positive finite float raises the
+        ``ValueError`` that ``MoldableJob.processing_time(k)`` raises."""
+        times = self.bundle.eval_all(float(k))
+        bad = np.flatnonzero(~(np.isfinite(times) & (times > 0.0)))
+        if len(bad):
+            j = int(bad[0])
+            raise ValueError(
+                f"job {self.jobs[j].name!r}: oracle returned invalid processing "
+                f"time {float(times[j])!r} for k={k}"
+            )
+        times.setflags(write=False)
+        return times
 
     def times_at(self, ks) -> np.ndarray:
         """``t_j(ks_j)`` for all jobs at per-job processor counts."""
@@ -142,11 +155,6 @@ class BatchedOracle:
             (index[id(job)] for job in jobs), dtype=np.int64, count=len(jobs)
         )
         return self.bundle.eval_at(idx, np.asarray(ks, dtype=np.float64))
-
-    def works_at(self, ks) -> np.ndarray:
-        """``w_j(ks_j) = ks_j * t_j(ks_j)`` for all jobs."""
-        ks = np.broadcast_to(np.asarray(ks, dtype=np.float64), (self.n,))
-        return ks * self.bundle.eval_all(ks)
 
     def index_of(self, job: MoldableJob) -> int:
         """Positional index of ``job`` in this oracle's job list."""
@@ -225,14 +233,22 @@ class BatchedOracle:
         g = int(self.gamma_array(threshold)[self._index[id(job)]])
         return None if g > self.m else g
 
-    # ------------------------------------------------------------ aggregates
-    def canonical_loads(self, threshold: float) -> Optional[np.ndarray]:
-        """Per-job works ``w_j(gamma_j(threshold))`` or ``None`` if any job
-        cannot meet the threshold (mirrors ``canonical_allotment``)."""
-        gammas = self.gamma_array(threshold)
-        if len(gammas) and gammas.max() > self.m:
-            return None
-        return self.works_at(gammas)
+    # ------------------------------------------------------------ solo driver
+    def run(self, steps):
+        """Drive a request generator solo, as a lockstep pack of one.
+
+        ``steps`` yields ``("gamma", threshold)`` or ``("eval", ks)``, is sent
+        :meth:`gamma_array` / :meth:`times_at` answers, and its return value
+        is returned.  :func:`repro.perf.megabatch.solve_mega` drives the same
+        generators with many instances' requests batched per round.
+        """
+        reply = None
+        while True:
+            try:
+                kind, payload = steps.send(reply)
+            except StopIteration as done:
+                return done.value
+            reply = self.gamma_array(payload) if kind == "gamma" else self.times_at(payload)
 
     @staticmethod
     def sequential_sum(values: np.ndarray) -> float:
@@ -373,9 +389,8 @@ def _bisect_lockstep(live: List[_LiveSearch]) -> None:
     for search in live:
         # lockstep across oracles requires one shared kernel table: the mega
         # bundle's segment views all alias the parent's group list
-        assert search.oracle.bundle.groups is groups, (
-            "lockstep round requires all oracles to share one bundle"
-        )
+        if search.oracle.bundle.groups is not groups:
+            raise ValueError("lockstep round requires all oracles to share one bundle")
     one = len(live) == 1
 
     own_all = np.concatenate(

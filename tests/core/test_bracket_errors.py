@@ -2,8 +2,8 @@
 
 The estimator's bracket ends and the dual search's upper end must be
 feasible for any monotone instance whose oracle agrees with its jobs.  When
-they are not, every path — solo scalar, solo vectorized and the mega-batch
-transcription — raises the same named error instead of a bare ``assert``.
+they are not, every path — solo scalar, solo vectorized and ``solve_mega`` —
+raises the same named error instead of a bare ``assert``.
 """
 
 import os
@@ -19,7 +19,6 @@ from repro.core.bounds import BracketError, ludwig_tiwari_estimator
 from repro.core.dual import dual_binary_search
 from repro.core.fptas import fptas_schedule
 from repro.core.two_approx import two_approximation
-from repro.perf import megabatch
 from repro.perf.megabatch import solve_mega
 from repro.perf.oracle import BatchedOracle
 from repro.workloads.generators import random_mixed_instance
@@ -80,12 +79,12 @@ def test_dual_search_rejecting_every_target(backend):
         dual_binary_search(jobs, M, lambda d: None, tolerance=0.1, oracle=oracle)
 
 
-def test_megabatch_transcription(monkeypatch):
-    def infeasible_allot(seg, tau):
+def test_solve_mega(monkeypatch):
+    def infeasible_allot(jobs, m, tau):
         yield ("gamma", tau)
         return None
 
-    monkeypatch.setattr(megabatch, "_gen_allot", infeasible_allot)
+    monkeypatch.setattr(bounds, "_allotment_steps", infeasible_allot)
     with pytest.raises(BracketError, match="bracket end"):
         solve_mega([(_jobs(), M)], 0.1, algorithm="two_approx")
 

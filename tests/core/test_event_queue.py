@@ -253,19 +253,11 @@ class TestBackendSelection:
     def test_backends_registry(self):
         assert LIST_BACKENDS == (
             "heap",
-            "wakeup",
             "event_queue",
             "event_queue_indexed",
         )
 
-    def test_columnar_flag_still_selects_wakeup(self):
-        jobs, allot = _jobs_with_durations([2.0, 1.0], need=1)
-        _assert_identical(
-            list_schedule(jobs, allot, 2, columnar=True),
-            list_schedule(jobs, allot, 2, backend="wakeup"),
-        )
-
-    @pytest.mark.parametrize("backend", ["wakeup", "event_queue", "event_queue_indexed"])
+    @pytest.mark.parametrize("backend", ["event_queue", "event_queue_indexed"])
     def test_astronomical_m_runs_natively(self, backend):
         """Machine counts beyond the int64 span range used to divert to the
         scalar heap; the wide-limb capacity tier now keeps every columnar
@@ -276,8 +268,7 @@ class TestBackendSelection:
         stats = {}
         schedule = list_schedule(jobs, allot, m, backend=backend, stats=stats)
         assert schedule.makespan == 5.0
-        if backend != "wakeup":
-            assert "epochs" in stats  # the event queue ran, no heap fallback
+        assert "epochs" in stats  # the event queue ran, no heap fallback
         assert stats["capacity_tier"] == "wide"
         _assert_identical(list_schedule(jobs, allot, m, backend="heap"), schedule)
 
@@ -297,15 +288,11 @@ class TestBackendSelection:
         assert stats["capacity_tier"] == "wide"
         _assert_identical(list_schedule(jobs, allot, m, backend="heap"), schedule)
 
-    @pytest.mark.parametrize("backend", ["wakeup", "event_queue", "event_queue_indexed"])
+    @pytest.mark.parametrize("backend", ["event_queue", "event_queue_indexed"])
     def test_unified_guard_at_the_exact_int64_boundary(self, backend):
-        """All three columnar backends share one tier cut: total_need equal
-        to ``MAX_COLUMNAR_M - m`` stays on int64 columns, one processor more
-        promotes to the wide tier — and both sides match the heap exactly.
-
-        Before the capacity module only the two event-queue backends guarded
-        the boundary (list_scheduling.py's old line-177 guard); the wakeup
-        backend's candidate arrays could silently overflow."""
+        """Both columnar backends share one tier cut: total_need equal to
+        ``MAX_COLUMNAR_M - m`` stays on int64 columns, one processor more
+        promotes to the wide tier — and both sides match the heap exactly."""
         m = 1 << 61
         budget = MAX_COLUMNAR_M - m  # the historical event-queue guard value
         for extra, tier in ((0, "int64"), (1, "wide")):
@@ -319,7 +306,7 @@ class TestBackendSelection:
                 list_schedule(jobs, allot, m, backend="heap"), schedule
             )
 
-    @pytest.mark.parametrize("backend", ["wakeup", "event_queue", "event_queue_indexed"])
+    @pytest.mark.parametrize("backend", ["event_queue", "event_queue_indexed"])
     def test_object_tier_beyond_wide_range(self, backend):
         """Past the 2^93 wide-limb budget the object-dtype escape hatch keeps
         the columnar structure (exact Python-int arithmetic per element)."""
@@ -378,14 +365,12 @@ class TestEpochGroupingProperties:
         ]
         allot = Allotment({job: k for job, k in zip(jobs, needs)})
         heap = list_schedule(jobs, allot, m, backend="heap")
-        wakeup = list_schedule(jobs, allot, m, backend="wakeup")
         stats = {}
         event = list_schedule(jobs, allot, m, backend="event_queue", stats=stats)
         indexed_stats = {}
         indexed = list_schedule(
             jobs, allot, m, backend="event_queue_indexed", stats=indexed_stats
         )
-        _assert_identical(heap, wakeup, (m, durations, needs))
         _assert_identical(heap, event, (m, durations, needs))
         _assert_identical(heap, indexed, (m, durations, needs))
         # every completion is seen exactly once, and epochs are bounded by

@@ -98,33 +98,3 @@ class TestListSchedule:
     def test_empty_jobs(self):
         schedule = list_schedule([], Allotment({}), 4)
         assert schedule.makespan == 0.0
-
-
-class TestColumnarListScheduling:
-    """list_schedule(columnar=True) must be bit-identical to the scalar loop."""
-
-    def test_columnar_matches_scalar_on_random_instances(self):
-        from repro.workloads.generators import random_bimodal_instance, random_mixed_instance
-
-        for generator, seed in [
-            (random_mixed_instance, 1),
-            (random_mixed_instance, 9),
-            (random_bimodal_instance, 4),
-        ]:
-            instance = generator(80, 96, seed=seed)
-            allotment = Allotment({job: (i % 7) + 1 for i, job in enumerate(instance.jobs)})
-            scalar = list_schedule(instance.jobs, allotment, 96)
-            columnar = list_schedule(instance.jobs, allotment, 96, columnar=True)
-            assert len(scalar.entries) == len(columnar.entries)
-            for a, b in zip(scalar.entries, columnar.entries):
-                assert a.job is b.job and a.start == b.start and a.spans == b.spans
-            assert scalar.makespan == columnar.makespan
-
-    def test_columnar_validates_allotment_like_scalar(self):
-        job = TabulatedJob("j", [5.0, 3.0])
-        with pytest.raises(ValueError):
-            list_schedule([job], Allotment({}), 4, columnar=True)
-
-    def test_columnar_empty(self):
-        schedule = list_schedule([], Allotment({}), 4, columnar=True)
-        assert len(schedule) == 0

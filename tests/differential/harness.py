@@ -9,18 +9,16 @@ one of them, no oracle needed.  Since PR 4 the comparison is **N-way**
 * ``"scalar"`` — the pure-Python reference (heap wake-up loop for list
   scheduling, per-entry ``Schedule.add`` assembly);
 * ``"vectorized"`` — the batched-oracle drivers; for ``two_approx`` the
-  list-scheduling phase is pinned to the columnar per-wake-up loop
-  (``list_backend="wakeup"``), PR 2's fast path;
-* ``"event_queue"`` — the batched event-queue list scheduler: the genuinely
-  distinct third implementation, so it is compared for ``two_approx`` (the
-  one driver with a list-scheduling phase) and skipped for the others —
-  re-running their unchanged vectorized path would double the fuzz budget
-  without exercising any new code;
+  list-scheduling phase runs its default, the batched event-queue backend;
+* ``"event_queue"`` — ``two_approx`` with the event-queue list scheduler
+  named explicitly (the same path as ``"vectorized"`` there); skipped for
+  the other drivers — re-running their unchanged vectorized path would
+  double the fuzz budget without exercising any new code;
 * ``"event_queue_indexed"`` — the event-queue list scheduler with the
   incremental need-bucket candidate index (its admission queries come from
   bucket prefix walks instead of per-epoch scans): a genuinely distinct
-  fourth implementation, compared for ``two_approx`` and skipped for the
-  other drivers exactly like ``"event_queue"``.
+  implementation, compared for ``two_approx`` and skipped for the other
+  drivers exactly like ``"event_queue"``.
 
 A *case* is a small JSON-able dict ``{driver, family, n, m, eps, seed}``:
 the instance is regenerated from the family generator and the seed, so a
@@ -185,10 +183,10 @@ def run_driver(case: dict, backend: str, jobs=None) -> Schedule:
     eps = float(case["eps"])
     driver = case["driver"]
     if driver == "two_approx":
-        # the four genuinely distinct list-scheduling implementations
+        # the distinct list-scheduling implementations
         if backend == "scalar":
             return two_approximation(jobs, m, backend="scalar").schedule
-        list_backend = "wakeup" if backend == "vectorized" else backend
+        list_backend = None if backend == "vectorized" else backend
         return two_approximation(
             jobs, m, backend="vectorized", list_backend=list_backend
         ).schedule
@@ -265,7 +263,7 @@ def run_recovery(case: dict, backend: str, jobs, plan: FaultPlan) -> RecoveryRes
     if backend == "scalar":
         return recover_with_faults(jobs, m, plan, eps=eps, algorithm=driver, backend="scalar")
     if driver == "two_approx":
-        list_backend = "wakeup" if backend == "vectorized" else backend
+        list_backend = None if backend == "vectorized" else backend
         return recover_with_faults(
             jobs, m, plan, eps=eps, algorithm=driver, backend="vectorized",
             list_backend=list_backend,
@@ -351,7 +349,7 @@ def run_online(
             m, eps=eps, algorithm=driver, backend="scalar", warm_start=warm_start, **kwargs
         )
     elif driver == "two_approx":
-        list_backend = "wakeup" if backend == "vectorized" else backend
+        list_backend = None if backend == "vectorized" else backend
         scheduler = OnlineScheduler(
             m, eps=eps, algorithm=driver, backend="vectorized",
             list_backend=list_backend, warm_start=warm_start, **kwargs,

@@ -246,3 +246,59 @@ class TestOracleJobVectorizedHook:
             np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]),
         )
         assert sorted(calls) == [0, 1, 2]
+
+
+class TestInvalidOracleTimes:
+    """A kernel returning a non-finite or non-positive time fails with the
+    scalar ``MoldableJob.processing_time`` error on every backend: the
+    batched oracle checks ``t_j(m)`` then ``t_j(1)`` once, in job order."""
+
+    @staticmethod
+    def _jobs(bad):
+        """Jobs ``a`` and ``b`` return NaN wherever ``bad(k)`` holds (``bad``
+        takes a count or an array of counts)."""
+
+        def f(k):
+            return float("nan") if bad(k) else 40.0 / k
+
+        def fv(ks):
+            return np.where(bad(ks), np.nan, 40.0 / ks)
+
+        return [
+            OracleJob("ok", lambda k: 10.0 / k, lambda ks: 10.0 / ks),
+            OracleJob("a", f, fv),
+            OracleJob("b", f, fv),
+        ]
+
+    @staticmethod
+    def _error(jobs, algorithm, path):
+        from repro.core.scheduler import schedule_moldable
+        from repro.perf.megabatch import solve_mega
+
+        with pytest.raises(Exception) as info:
+            if path == "mega":
+                solve_mega([(jobs, 16)], 0.1, algorithm=algorithm)
+            else:
+                schedule_moldable(jobs, 16, 0.1, algorithm=algorithm, backend=path)
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("algorithm", ["two_approx", "bounded"])
+    @pytest.mark.parametrize(
+        "bad, k",
+        [(lambda k: k >= 7, 16), (lambda k: k < 2, 1)],
+        ids=["nan_from_7", "nan_at_1"],
+    )
+    def test_same_error_on_every_backend(self, algorithm, bad, k):
+        expected = (ValueError, f"job 'a': oracle returned invalid processing time nan for k={k}")
+        for path in ("scalar", "vectorized", "mega"):
+            assert self._error(self._jobs(bad), algorithm, path) == expected, path
+
+    def test_checked_once_per_oracle(self):
+        calls = []
+        job = OracleJob(
+            "a", lambda k: 1.0 / k, lambda ks: calls.append(len(ks)) or 1.0 / ks
+        )
+        oracle = BatchedOracle([job], 8)
+        for _ in range(3):
+            oracle.tm, oracle.t1
+        assert len(calls) == 2
